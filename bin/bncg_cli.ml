@@ -874,7 +874,10 @@ let perf_cmd =
   let smoke_arg =
     Arg.(
       value & flag
-      & info [ "smoke" ] ~doc:"Run only the 5-benchmark CI subset instead of the suite.")
+      & info [ "smoke" ]
+          ~doc:
+            (Printf.sprintf "Run only the %d-benchmark CI subset instead of the suite."
+               (List.length Benchkit.smoke_names)))
   in
   let only_arg =
     Arg.(

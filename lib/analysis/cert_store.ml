@@ -5,7 +5,7 @@ type t = {
   certs : (string, entry) Hashtbl.t;  (* content address -> certificate *)
   canon : (string, string) Hashtbl.t;  (* labelled adjacency key -> canonical g6 *)
   families : (string, string list) Hashtbl.t;  (* family key -> g6s in enum order *)
-  journal_path : string;
+  first_journal : int;  (* lowest free journal index when the store opened *)
   mutable journal : out_channel option;  (* opened lazily on first record *)
 }
 
@@ -128,11 +128,10 @@ let rec mkdir_p path =
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let fresh_journal_path dir =
-  let rec go k =
-    let path = Filename.concat dir (Printf.sprintf "journal-%04d.jsonl" k) in
-    if Sys.file_exists path then go (k + 1) else path
-  in
+let journal_path dir k = Filename.concat dir (Printf.sprintf "journal-%04d.jsonl" k)
+
+let first_free_journal dir =
+  let rec go k = if Sys.file_exists (journal_path dir k) then go (k + 1) else k in
   go 0
 
 let open_store dirname =
@@ -143,7 +142,7 @@ let open_store dirname =
       certs = Hashtbl.create 4096;
       canon = Hashtbl.create 1024;
       families = Hashtbl.create 16;
-      journal_path = fresh_journal_path dirname;
+      first_journal = first_free_journal dirname;
       journal = None;
     }
   in
@@ -161,15 +160,30 @@ let close t =
       close_out_noerr oc;
       t.journal <- None
 
+(* The index free at open time is only a starting point: another store on
+   the same directory may create that journal first, and two writers
+   sharing one journal can interleave a line that spans several writes.
+   Creating the file with O_EXCL makes the claim atomic; a taken index
+   moves on to the next. *)
+let journal_channel t =
+  match t.journal with
+  | Some oc -> oc
+  | None ->
+      let rec claim k =
+        match
+          Unix.openfile (journal_path t.dir k)
+            [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+            0o644
+        with
+        | fd -> Unix.out_channel_of_descr fd
+        | exception Unix.Unix_error (Unix.EEXIST, _, _) -> claim (k + 1)
+      in
+      let oc = claim t.first_journal in
+      t.journal <- Some oc;
+      oc
+
 let append t j =
-  let oc =
-    match t.journal with
-    | Some oc -> oc
-    | None ->
-        let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.journal_path in
-        t.journal <- Some oc;
-        oc
-  in
+  let oc = journal_channel t in
   output_string oc (Json.to_string j);
   output_char oc '\n';
   flush oc;
@@ -236,17 +250,9 @@ let absorb t src =
     let before = size t in
     load_line t line;
     if size t > before then begin
-      (match t.journal with
-      | Some oc ->
-          output_string oc line;
-          output_char oc '\n'
-      | None ->
-          let oc =
-            open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.journal_path
-          in
-          t.journal <- Some oc;
-          output_string oc line;
-          output_char oc '\n');
+      let oc = journal_channel t in
+      output_string oc line;
+      output_char oc '\n';
       incr absorbed
     end
   in

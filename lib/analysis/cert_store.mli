@@ -37,7 +37,10 @@ val open_store : string -> t
 (** [open_store dir] creates [dir] if needed, loads every [*.jsonl]
     journal in it (skipping unparsable lines), and prepares a fresh
     append-only journal for this run.  The journal file is created
-    lazily on the first {!record}, so read-only runs leave no trace. *)
+    lazily on the first {!record}, so read-only runs leave no trace,
+    and exclusively: if another store on the same directory has taken
+    the next journal index by then, this one moves on to a later index,
+    so two writers never share a journal. *)
 
 val close : t -> unit
 (** Flushes and closes this run's journal, if one was opened. *)

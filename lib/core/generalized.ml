@@ -1,12 +1,24 @@
 (* The generalized BNCG of arXiv 2510.00239 as a GAME instance: the
    bilateral deviation vocabulary, priced through a {!Dist_cost}
-   distance-cost function.  The linear prunes of the bilateral stack
-   (gain thresholds, net-edge caps, the Corbo-Parkes single-removal
-   shortcut) are tied to the classic cost's arithmetic and are not
-   known to be sound for arbitrary [f], so the checkers here use only
-   two accelerations that hold for every cost function: incremental
-   distance maintenance ({!Dist_oracle} flip / read / unflip) and the
-   [G_all] consent lower bound for BNE partners. *)
+   distance-cost function.
+
+   RE, BAE, PS, BSwE and BGE are the bilateral checkers themselves,
+   applied to [Cost_gen.Metric]: that metric's prune hooks are
+   permissive, so the functors keep only what holds for every cost
+   function (the bit-parallel and incremental-oracle pricing) and decide
+   every candidate by exact pricing.
+
+   BNE and k-BSE keep their own searches.  The bilateral ones
+   ({!Neighborhood_eq}, {!Strong_eq}) prune with the Corbo-Parkes
+   single-removal shortcut, the tree-branch restriction and the bridge
+   restriction, and all three assume that losing reachability
+   outweighs every other change in cost.  Under [Cutoff r] that fails:
+   a deletion can push one vertex out of radius r while an addition in
+   the same move pulls several others back inside it, so a move that
+   drops a branch or a bridge can still improve every mover.  The
+   searches below use only incremental distance maintenance
+   ({!Dist_oracle} flip / read / unflip) and the [G_all] consent lower
+   bound for BNE partners, both sound for every [f]. *)
 
 let name = "generalized"
 
@@ -62,31 +74,7 @@ let concept_of_string s =
 (* ------------------------------------------------------------------ *)
 
 exception Found of Move.t
-exception Out_of_budget
-
-(* Size-ordered subset enumeration, as in {!Neighborhood_eq} (not
-   exported there): improving moves are usually small, so under a
-   budget the size-ordered sweep finds witnesses far earlier than
-   binary-counting order.  One budget unit per emitted subset. *)
-let iter_subsets ?max_size items ~budget f =
-  let arr = Array.of_list items in
-  let k = Array.length arr in
-  let cap = match max_size with None -> k | Some m -> min m k in
-  let emit acc =
-    decr budget;
-    if !budget < 0 then raise Out_of_budget;
-    f (List.rev acc)
-  in
-  let rec choose size start acc =
-    if size = 0 then emit acc
-    else
-      for i = start to k - size do
-        choose (size - 1) (i + 1) (arr.(i) :: acc)
-      done
-  in
-  for size = 0 to cap do
-    choose size 0 []
-  done
+exception Out_of_budget = Subsets.Out_of_budget
 
 (* One oracle and one baseline memo per check: moves are always undone,
    so the oracle is pristine between evaluations and the memoised
@@ -105,80 +93,6 @@ let make_ctx ~f ~alpha g =
         c
   in
   (oracle, before_cost)
-
-(* ------------------------------------------------------------------ *)
-(* Single-edge concepts                                                *)
-(* ------------------------------------------------------------------ *)
-
-let check_re ~f ~alpha g =
-  let oracle, before = make_ctx ~f ~alpha g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  try
-    List.iter
-      (fun (u, v) ->
-        let bu = before u and bv = before v in
-        Dist_oracle.remove_edge oracle u v;
-        let cu = cost u and cv = cost v in
-        Dist_oracle.add_edge oracle u v;
-        if Cost_gen.strictly_less cu bu then
-          raise (Found (Move.Remove { agent = u; target = v }));
-        if Cost_gen.strictly_less cv bv then
-          raise (Found (Move.Remove { agent = v; target = u })))
-      (Graph.edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_bae ~f ~alpha g =
-  let oracle, before = make_ctx ~f ~alpha g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  try
-    List.iter
-      (fun (u, v) ->
-        let bu = before u and bv = before v in
-        Dist_oracle.add_edge oracle u v;
-        let ok =
-          Cost_gen.strictly_less (cost u) bu && Cost_gen.strictly_less (cost v) bv
-        in
-        Dist_oracle.remove_edge oracle u v;
-        if ok then raise (Found (Move.Bilateral_add { u; v })))
-      (Graph.non_edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_bswe ~f ~alpha g =
-  let size = Graph.n g in
-  let oracle, before = make_ctx ~f ~alpha g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  try
-    for u = 0 to size - 1 do
-      Array.iter
-        (fun v ->
-          for w = 0 to size - 1 do
-            if w <> u && w <> v && not (Graph.has_edge g u w) then begin
-              (* The swap leaves u's degree unchanged; w pays for one
-                 extra edge (tracked by the oracle's degree). *)
-              let bu = before u and bw = before w in
-              Dist_oracle.remove_edge oracle u v;
-              Dist_oracle.add_edge oracle u w;
-              let ok =
-                Cost_gen.strictly_less (cost u) bu
-                && Cost_gen.strictly_less (cost w) bw
-              in
-              Dist_oracle.remove_edge oracle u w;
-              Dist_oracle.add_edge oracle u v;
-              if ok then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
-            end
-          done)
-        (Graph.neighbors g u)
-    done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let compose a b ~alpha g =
-  match a ~alpha g with Verdict.Stable -> b ~alpha g | v -> v
-
-let check_ps ~f ~alpha g = compose (check_re ~f) (check_bae ~f) ~alpha g
-let check_bge ~f ~alpha g = compose (check_ps ~f) (check_bswe ~f) ~alpha g
 
 (* ------------------------------------------------------------------ *)
 (* BNE: budgeted neighborhood enumeration with the G_all consent bound *)
@@ -228,8 +142,8 @@ let check_bne_agent ~f ~alpha ~oracle ~before ~budget g u =
   (* No net-edge cap and no single-removal shortcut: both rest on the
      linear cost's arithmetic (see {!Neighborhood_eq}) and are unproven
      for general f, so the enumeration is full within the budget. *)
-  iter_subsets candidates ~budget (fun add ->
-      iter_subsets neighbors ~budget (fun drop -> evaluate drop add))
+  Subsets.iter_subsets candidates ~budget (fun add ->
+      Subsets.iter_subsets neighbors ~budget (fun drop -> evaluate drop add))
 
 let check_bne ?(budget = Neighborhood_eq.default_budget) ~f ~alpha g =
   let size = Graph.n g in
@@ -270,13 +184,13 @@ let check_kbse ?(budget = Neighborhood_eq.default_budget) ~f ~k ~alpha g =
   let vertices = List.init size Fun.id in
   let budget = ref budget in
   try
-    iter_subsets vertices ~max_size:(min k size) ~budget (fun members ->
+    Subsets.iter_subsets vertices ~max_size:(min k size) ~budget (fun members ->
         if members <> [] then begin
           let mem x = List.exists (Int.equal x) members in
           let removable = List.filter (fun (u, v) -> mem u || mem v) (Graph.edges g) in
           let addable = List.filter (fun (u, v) -> mem u && mem v) (Graph.non_edges g) in
-          iter_subsets addable ~budget (fun add ->
-              iter_subsets removable ~budget (fun remove ->
+          Subsets.iter_subsets addable ~budget (fun add ->
+              Subsets.iter_subsets removable ~budget (fun remove ->
                   if add <> [] || remove <> [] then begin
                     let bms = List.map (fun m -> (m, before m)) members in
                     List.iter (fun (u, v) -> Dist_oracle.remove_edge oracle u v) remove;
@@ -302,12 +216,25 @@ let check_kbse ?(budget = Neighborhood_eq.default_budget) ~f ~k ~alpha g =
 (* ------------------------------------------------------------------ *)
 
 let check ?budget ~alpha { f; base } g =
+  let module M = Cost_gen.Metric (struct
+    let f = f
+  end) in
   match base with
-  | Concept.RE -> check_re ~f ~alpha g
-  | Concept.BAE -> check_bae ~f ~alpha g
-  | Concept.PS -> check_ps ~f ~alpha g
-  | Concept.BSwE -> check_bswe ~f ~alpha g
-  | Concept.BGE -> check_bge ~f ~alpha g
+  | Concept.RE ->
+      let module C = Remove_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.BAE ->
+      let module C = Add_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.PS ->
+      let module C = Pairwise.Make (M) in
+      C.check ~alpha g
+  | Concept.BSwE ->
+      let module C = Swap_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.BGE ->
+      let module C = Greedy_eq.Make (M) in
+      C.check ~alpha g
   | Concept.BNE -> check_bne ?budget ~f ~alpha g
   | Concept.KBSE k -> check_kbse ?budget ~f ~k ~alpha g
   | Concept.BSE -> check_kbse ?budget ~f ~k:(max 1 (Graph.n g)) ~alpha g

@@ -8,12 +8,15 @@
     name parses with the linear function, recovering the classic
     game's improvement order.
 
-    The optimised checkers keep only the game-agnostic accelerations
-    (incremental {!Dist_oracle} pricing, a sound consent lower bound
-    for BNE partners); the linear pruning theory of the bilateral
-    stack does not transfer to arbitrary cost functions.  [BNE],
-    [k-BSE] and [BSE] are budgeted and may answer [Exhausted]; the
-    rest are exact and polynomial. *)
+    [RE], [BAE], [PS], [BSwE] and [BGE] run the bilateral checker
+    functors ({!Remove_eq.Make}, {!Add_eq.Make}, {!Pairwise.Make},
+    {!Swap_eq.Make}, {!Greedy_eq.Make}) on {!Cost_gen.Metric}; they are
+    exact and polynomial, and under [f = Linear] they return the
+    bilateral verdicts move for move.  [BNE], [k-BSE] and [BSE] keep
+    their own budgeted searches, which use only the accelerations that
+    hold for every cost function (incremental {!Dist_oracle} pricing and
+    a consent lower bound for BNE partners), and may answer
+    [Exhausted].  [reference] is {!Oracle.check_generalized}. *)
 
 type concept = { f : Dist_cost.t; base : Concept.t }
 

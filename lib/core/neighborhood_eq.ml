@@ -1,30 +1,7 @@
 let default_budget = 500_000
 
 exception Found of Move.t
-exception Out_of_budget
-
-(* Enumerate subsets of [items] of size at most [max_size], smallest
-   sizes first (improving moves are usually small, so under a budget the
-   size-ordered sweep finds witnesses far earlier than binary-counting
-   order), charging one unit of [budget] per emitted subset. *)
-let iter_subsets items ~max_size ~budget f =
-  let arr = Array.of_list items in
-  let k = Array.length arr in
-  let emit acc =
-    decr budget;
-    if !budget < 0 then raise Out_of_budget;
-    f (List.rev acc)
-  in
-  let rec choose size start acc =
-    if size = 0 then emit acc
-    else
-      for i = start to k - size do
-        choose (size - 1) (i + 1) (arr.(i) :: acc)
-      done
-  in
-  for size = 0 to min max_size k do
-    choose size 0 []
-  done
+exception Out_of_budget = Subsets.Out_of_budget
 
 (* The metric surfaces in three places: pricing candidate moves (flip /
    read / unflip on the oracle), the consent prune (a partner whose best
@@ -99,7 +76,8 @@ module Make (M : Metric_sig.METRIC) = struct
       end
     in
     (* Enumerate A first (usually heavily pruned), then R. *)
-    iter_subsets candidates ~max_size:(List.length neighbors + net_cap) ~budget (fun add ->
+    Subsets.iter_subsets candidates ~max_size:(List.length neighbors + net_cap) ~budget
+      (fun add ->
         let removable =
           if not is_tree then neighbors
           else
@@ -111,7 +89,7 @@ module Make (M : Metric_sig.METRIC) = struct
            dropping one of them already does (the argument behind
            Proposition A.2), so for A = ∅ the size-1 subsets are exhaustive. *)
         let max_drop = if add = [] then 1 else List.length removable in
-        iter_subsets removable ~max_size:max_drop ~budget (fun drop ->
+        Subsets.iter_subsets removable ~max_size:max_drop ~budget (fun drop ->
             if List.length add <= List.length drop + net_cap then evaluate drop add));
     !budget
 

@@ -5,23 +5,24 @@
    definitions; this module is the slow, obviously correct side of that
    differential.  Rules of the house:
 
-   - persistent [Graph] operations and [Cost.agent_cost] only — no
-     Bitgraph, no cached BFS rows, no memoisation across deviations;
+   - persistent [Graph] operations and the metric's scratch-BFS pricing
+     [M.of_graph] only — no Bitgraph, no cached BFS rows, no
+     memoisation across deviations;
    - deviations are enumerated exactly as the definitions quantify
      them, with no pruning and no early consent bounds;
-   - a deviation improves an agent iff [Cost.strictly_less] says her
-     full lexicographic cost went down — never a hand-derived gain
-     formula.
+   - a deviation improves an agent iff [M.strictly_less] says her full
+     lexicographic cost went down — never a hand-derived gain formula,
+     and none of the metric's prune hooks.
+
+   The deviation structure is the bilateral one for every game that
+   reuses the bilateral vocabulary; only the metric changes, so the
+   oracle is written once as a functor and instantiated for the classic
+   cost ([check]) and for each generalized cost ([check_generalized]).
 
    The coalition oracles enumerate every outcome graph and are
    therefore exponential in n(n-1)/2; they refuse n > 6 rather than
    pretend to scale.  [max_n] advertises the caps so the testkit's case
    generators can respect them. *)
-
-let cost = Cost.agent_cost
-
-let improves ~alpha ~before ~after u =
-  Cost.strictly_less (cost ~alpha after u) (cost ~alpha before u)
 
 (* All subsets of [xs].  Exponential on purpose; callers keep [xs]
    tiny. *)
@@ -30,373 +31,217 @@ let subsets xs =
 
 let vertices g = List.init (Graph.n g) Fun.id
 
-(* ------------------------------------------------------------------ *)
-(* Single-edge bilateral deviations                                    *)
-(* ------------------------------------------------------------------ *)
+module Make (M : Metric_sig.METRIC) = struct
+  let cost = M.of_graph
 
-(* RE: some endpoint of some edge improves by unilaterally dropping
-   it (removal needs no consent). *)
-let check_re ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun (u, v) ->
-        let g' = Graph.remove_edge g u v in
-        if improves ~alpha ~before:g ~after:g' u then
-          raise (Found (Move.Remove { agent = u; target = v }));
-        if improves ~alpha ~before:g ~after:g' v then
-          raise (Found (Move.Remove { agent = v; target = u })))
-      (Graph.edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
+  let improves ~alpha ~before ~after u =
+    M.strictly_less (cost ~alpha after u) (cost ~alpha before u)
 
-(* BAE: some non-edge whose addition strictly improves both endpoints
-   (addition needs mutual consent). *)
-let check_bae ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun (u, v) ->
-        let g' = Graph.add_edge g u v in
-        if improves ~alpha ~before:g ~after:g' u && improves ~alpha ~before:g ~after:g' v
-        then raise (Found (Move.Bilateral_add { u; v })))
-      (Graph.non_edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
+  (* ---------------------------------------------------------------- *)
+  (* Single-edge bilateral deviations                                  *)
+  (* ---------------------------------------------------------------- *)
 
-(* BSwE: some agent u, incident edge uv and non-neighbour w such that
-   the swap G - uv + uw strictly improves u and the new partner w (the
-   dropped partner v is not asked). *)
-let check_bswe ~alpha g =
-  let size = Graph.n g in
-  let exception Found of Move.t in
-  try
+  (* RE: some endpoint of some edge improves by unilaterally dropping
+     it (removal needs no consent). *)
+  let check_re ~alpha g =
+    let exception Found of Move.t in
+    try
+      List.iter
+        (fun (u, v) ->
+          let g' = Graph.remove_edge g u v in
+          if improves ~alpha ~before:g ~after:g' u then
+            raise (Found (Move.Remove { agent = u; target = v }));
+          if improves ~alpha ~before:g ~after:g' v then
+            raise (Found (Move.Remove { agent = v; target = u })))
+        (Graph.edges g);
+      Verdict.Stable
+    with Found m -> Verdict.Unstable m
+
+  (* BAE: some non-edge whose addition strictly improves both endpoints
+     (addition needs mutual consent). *)
+  let check_bae ~alpha g =
+    let exception Found of Move.t in
+    try
+      List.iter
+        (fun (u, v) ->
+          let g' = Graph.add_edge g u v in
+          if improves ~alpha ~before:g ~after:g' u && improves ~alpha ~before:g ~after:g' v
+          then raise (Found (Move.Bilateral_add { u; v })))
+        (Graph.non_edges g);
+      Verdict.Stable
+    with Found m -> Verdict.Unstable m
+
+  (* BSwE: some agent u, incident edge uv and non-neighbour w such that
+     the swap G - uv + uw strictly improves u and the new partner w (the
+     dropped partner v is not asked). *)
+  let check_bswe ~alpha g =
+    let size = Graph.n g in
+    let exception Found of Move.t in
+    try
+      for u = 0 to size - 1 do
+        for v = 0 to size - 1 do
+          if Graph.has_edge g u v then
+            for w = 0 to size - 1 do
+              if w <> u && w <> v && not (Graph.has_edge g u w) then begin
+                let g' = Graph.add_edge (Graph.remove_edge g u v) u w in
+                if
+                  improves ~alpha ~before:g ~after:g' u
+                  && improves ~alpha ~before:g ~after:g' w
+                then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
+              end
+            done
+        done
+      done;
+      Verdict.Stable
+    with Found m -> Verdict.Unstable m
+
+  let compose a b ~alpha g =
+    match a ~alpha g with Verdict.Stable -> b ~alpha g | v -> v
+
+  let check_ps ~alpha g = compose check_re check_bae ~alpha g
+  let check_bge ~alpha g = compose check_ps check_bswe ~alpha g
+
+  (* ---------------------------------------------------------------- *)
+  (* BNE: neighbourhood deviations                                     *)
+  (* ---------------------------------------------------------------- *)
+
+  (* Some agent u, some set of incident edges to drop and some set of
+     new partners to add (not both empty), such that u and every added
+     partner strictly improve.  Dropped partners are not asked. *)
+  let check_bne ~alpha g =
+    let exception Found of Move.t in
+    try
+      List.iter
+        (fun u ->
+          let neighbors = Array.to_list (Graph.neighbors g u) in
+          let strangers =
+            List.filter (fun v -> v <> u && not (Graph.has_edge g u v)) (vertices g)
+          in
+          List.iter
+            (fun drop ->
+              List.iter
+                (fun add ->
+                  if drop <> [] || add <> [] then begin
+                    let m = Move.Neighborhood { agent = u; drop; add } in
+                    let g' = Move.apply g m in
+                    if
+                      improves ~alpha ~before:g ~after:g' u
+                      && List.for_all (fun w -> improves ~alpha ~before:g ~after:g' w) add
+                    then raise (Found m)
+                  end)
+                (subsets strangers))
+            (subsets neighbors))
+        (vertices g);
+      Verdict.Stable
+    with Found m -> Verdict.Unstable m
+
+  (* ---------------------------------------------------------------- *)
+  (* k-BSE: coalition deviations, by outcome enumeration               *)
+  (* ---------------------------------------------------------------- *)
+
+  (* A coalition S (|S| <= k) may remove any edges incident to S and
+     add any non-edges inside S; the deviation counts iff every member
+     of S strictly improves.  Enumerating outcome graphs is the same
+     quantification read off the edge sets: for every g' <> g, the
+     deviation producing it is legal for S iff every added edge lies
+     inside S and every removed edge touches S.  Since every member of
+     a qualifying S must improve in g', S ranges over subsets of the
+     improving vertices of g' — that restriction is the definition
+     itself, not a heuristic. *)
+  let check_kbse ~k ~alpha g =
+    let size = Graph.n g in
+    if size > 6 then
+      invalid_arg "Oracle.check: the k-BSE oracle enumerates outcomes, n <= 6 only";
+    if k < 1 then invalid_arg "Oracle.check: need k >= 1";
+    let slots = size * (size - 1) / 2 in
+    let pairs = Array.make (max slots 1) (0, 0) in
+    let idx = ref 0 in
     for u = 0 to size - 1 do
-      for v = 0 to size - 1 do
-        if Graph.has_edge g u v then
-          for w = 0 to size - 1 do
-            if w <> u && w <> v && not (Graph.has_edge g u w) then begin
-              let g' = Graph.add_edge (Graph.remove_edge g u v) u w in
-              if
-                improves ~alpha ~before:g ~after:g' u
-                && improves ~alpha ~before:g ~after:g' w
-              then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
-            end
-          done
+      for v = u + 1 to size - 1 do
+        pairs.(!idx) <- (u, v);
+        incr idx
       done
     done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let compose a b ~alpha g =
-  match a ~alpha g with Verdict.Stable -> b ~alpha g | v -> v
-
-let check_ps ~alpha g = compose check_re check_bae ~alpha g
-let check_bge ~alpha g = compose check_ps check_bswe ~alpha g
-
-(* ------------------------------------------------------------------ *)
-(* BNE: neighbourhood deviations                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Some agent u, some set of incident edges to drop and some set of new
-   partners to add (not both empty), such that u and every added
-   partner strictly improve.  Dropped partners are not asked. *)
-let check_bne ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun u ->
-        let neighbors = Array.to_list (Graph.neighbors g u) in
-        let strangers =
-          List.filter (fun v -> v <> u && not (Graph.has_edge g u v)) (vertices g)
-        in
-        List.iter
-          (fun drop ->
-            List.iter
-              (fun add ->
-                if drop <> [] || add <> [] then begin
-                  let m = Move.Neighborhood { agent = u; drop; add } in
-                  let g' = Move.apply g m in
-                  if
-                    improves ~alpha ~before:g ~after:g' u
-                    && List.for_all (fun w -> improves ~alpha ~before:g ~after:g' w) add
-                  then raise (Found m)
-                end)
-              (subsets strangers))
-          (subsets neighbors))
-      (vertices g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-(* ------------------------------------------------------------------ *)
-(* k-BSE: coalition deviations, by outcome enumeration                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A coalition S (|S| <= k) may remove any edges incident to S and add
-   any non-edges inside S; the deviation counts iff every member of S
-   strictly improves.  Enumerating outcome graphs is the same
-   quantification read off the edge sets: for every g' <> g, the
-   deviation producing it is legal for S iff every added edge lies
-   inside S and every removed edge touches S.  Since every member of a
-   qualifying S must improve in g', S ranges over subsets of the
-   improving vertices of g' — that restriction is the definition
-   itself, not a heuristic. *)
-let check_kbse ~k ~alpha g =
-  let size = Graph.n g in
-  if size > 6 then
-    invalid_arg "Oracle.check: the k-BSE oracle enumerates outcomes, n <= 6 only";
-  if k < 1 then invalid_arg "Oracle.check: need k >= 1";
-  let slots = size * (size - 1) / 2 in
-  let pairs = Array.make (max slots 1) (0, 0) in
-  let idx = ref 0 in
-  for u = 0 to size - 1 do
-    for v = u + 1 to size - 1 do
-      pairs.(!idx) <- (u, v);
-      incr idx
-    done
-  done;
-  let base_mask = ref 0 in
-  for b = 0 to slots - 1 do
-    let u, v = pairs.(b) in
-    if Graph.has_edge g u v then base_mask := !base_mask lor (1 lsl b)
-  done;
-  let before = Array.init size (fun u -> cost ~alpha g u) in
-  let mem x xs = List.exists (Int.equal x) xs in
-  let exception Found of Move.t in
-  try
-    for mask = 0 to (1 lsl slots) - 1 do
-      if mask <> !base_mask then begin
-        let g' = ref (Graph.create size) in
-        for b = 0 to slots - 1 do
-          if mask land (1 lsl b) <> 0 then begin
-            let u, v = pairs.(b) in
-            g' := Graph.add_edge !g' u v
-          end
-        done;
-        let g' = !g' in
-        let added = ref [] and removed = ref [] in
-        for b = slots - 1 downto 0 do
-          let now = mask land (1 lsl b) <> 0 and was = !base_mask land (1 lsl b) <> 0 in
-          if now && not was then added := pairs.(b) :: !added
-          else if was && not now then removed := pairs.(b) :: !removed
-        done;
-        let happier =
-          List.filter
-            (fun w -> Cost.strictly_less (cost ~alpha g' w) before.(w))
-            (vertices g)
-        in
-        List.iter
-          (fun members ->
-            if
-              members <> []
-              && List.length members <= k
-              && List.for_all (fun (u, v) -> mem u members && mem v members) !added
-              && List.for_all (fun (u, v) -> mem u members || mem v members) !removed
-            then
-              raise (Found (Move.Coalition { members; remove = !removed; add = !added })))
-          (subsets happier)
-      end
+    let base_mask = ref 0 in
+    for b = 0 to slots - 1 do
+      let u, v = pairs.(b) in
+      if Graph.has_edge g u v then base_mask := !base_mask lor (1 lsl b)
     done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
+    let before = Array.init size (fun u -> cost ~alpha g u) in
+    let mem x xs = List.exists (Int.equal x) xs in
+    let exception Found of Move.t in
+    try
+      for mask = 0 to (1 lsl slots) - 1 do
+        if mask <> !base_mask then begin
+          let g' = ref (Graph.create size) in
+          for b = 0 to slots - 1 do
+            if mask land (1 lsl b) <> 0 then begin
+              let u, v = pairs.(b) in
+              g' := Graph.add_edge !g' u v
+            end
+          done;
+          let g' = !g' in
+          let added = ref [] and removed = ref [] in
+          for b = slots - 1 downto 0 do
+            let now = mask land (1 lsl b) <> 0 and was = !base_mask land (1 lsl b) <> 0 in
+            if now && not was then added := pairs.(b) :: !added
+            else if was && not now then removed := pairs.(b) :: !removed
+          done;
+          let happier =
+            List.filter
+              (fun w -> M.strictly_less (cost ~alpha g' w) before.(w))
+              (vertices g)
+          in
+          List.iter
+            (fun members ->
+              if
+                members <> []
+                && List.length members <= k
+                && List.for_all (fun (u, v) -> mem u members && mem v members) !added
+                && List.for_all (fun (u, v) -> mem u members || mem v members) !removed
+              then
+                raise
+                  (Found (Move.Coalition { members; remove = !removed; add = !added })))
+            (subsets happier)
+        end
+      done;
+      Verdict.Stable
+    with Found m -> Verdict.Unstable m
 
-let check_bse ~alpha g = check_kbse ~k:(max 1 (Graph.n g)) ~alpha g
+  (* ---------------------------------------------------------------- *)
+  (* The Concept.t dispatch                                            *)
+  (* ---------------------------------------------------------------- *)
 
-(* ------------------------------------------------------------------ *)
-(* The Concept.t dispatch                                              *)
-(* ------------------------------------------------------------------ *)
+  let check ?budget ~alpha concept g =
+    (* The oracle is exhaustive by construction; it never truncates. *)
+    ignore budget;
+    match concept with
+    | Concept.RE -> check_re ~alpha g
+    | Concept.BAE -> check_bae ~alpha g
+    | Concept.PS -> check_ps ~alpha g
+    | Concept.BSwE -> check_bswe ~alpha g
+    | Concept.BGE -> check_bge ~alpha g
+    | Concept.BNE -> check_bne ~alpha g
+    | Concept.KBSE k -> check_kbse ~k ~alpha g
+    | Concept.BSE -> check_kbse ~k:(max 1 (Graph.n g)) ~alpha g
+end
 
-let check ?budget ~alpha concept g =
-  (* The oracle is exhaustive by construction; it never truncates. *)
-  ignore budget;
-  match concept with
-  | Concept.RE -> check_re ~alpha g
-  | Concept.BAE -> check_bae ~alpha g
-  | Concept.PS -> check_ps ~alpha g
-  | Concept.BSwE -> check_bswe ~alpha g
-  | Concept.BGE -> check_bge ~alpha g
-  | Concept.BNE -> check_bne ~alpha g
-  | Concept.KBSE k -> check_kbse ~k ~alpha g
-  | Concept.BSE -> check_bse ~alpha g
+let check =
+  let module O = Make (Cost.Metric) in
+  O.check
 
 let max_n = function
   | Concept.KBSE _ | Concept.BSE -> 6
   | Concept.BNE -> 9
   | Concept.RE | Concept.BAE | Concept.PS | Concept.BSwE | Concept.BGE -> max_int
 
-(* ------------------------------------------------------------------ *)
-(* Generalized BNCG oracles (arXiv 2510.00239)                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Same quantifications as the bilateral oracles above, priced through
-   [Cost_gen.agent_cost ~f] (scratch BFS per evaluation, no cached
-   rows): the deviation structure of the generalized game is the
-   bilateral one, only the improvement order changes with the
-   distance-cost function. *)
-
-let gen_cost = Cost_gen.agent_cost
-
-let gen_improves ~f ~alpha ~before ~after u =
-  Cost_gen.strictly_less (gen_cost ~f ~alpha after u) (gen_cost ~f ~alpha before u)
-
-let check_gen_re ~f ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun (u, v) ->
-        let g' = Graph.remove_edge g u v in
-        if gen_improves ~f ~alpha ~before:g ~after:g' u then
-          raise (Found (Move.Remove { agent = u; target = v }));
-        if gen_improves ~f ~alpha ~before:g ~after:g' v then
-          raise (Found (Move.Remove { agent = v; target = u })))
-      (Graph.edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_bae ~f ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun (u, v) ->
-        let g' = Graph.add_edge g u v in
-        if
-          gen_improves ~f ~alpha ~before:g ~after:g' u
-          && gen_improves ~f ~alpha ~before:g ~after:g' v
-        then raise (Found (Move.Bilateral_add { u; v })))
-      (Graph.non_edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_bswe ~f ~alpha g =
-  let size = Graph.n g in
-  let exception Found of Move.t in
-  try
-    for u = 0 to size - 1 do
-      for v = 0 to size - 1 do
-        if Graph.has_edge g u v then
-          for w = 0 to size - 1 do
-            if w <> u && w <> v && not (Graph.has_edge g u w) then begin
-              let g' = Graph.add_edge (Graph.remove_edge g u v) u w in
-              if
-                gen_improves ~f ~alpha ~before:g ~after:g' u
-                && gen_improves ~f ~alpha ~before:g ~after:g' w
-              then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
-            end
-          done
-      done
-    done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_ps ~f ~alpha g = compose (check_gen_re ~f) (check_gen_bae ~f) ~alpha g
-let check_gen_bge ~f ~alpha g = compose (check_gen_ps ~f) (check_gen_bswe ~f) ~alpha g
-
-let check_gen_bne ~f ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun u ->
-        let neighbors = Array.to_list (Graph.neighbors g u) in
-        let strangers =
-          List.filter (fun v -> v <> u && not (Graph.has_edge g u v)) (vertices g)
-        in
-        List.iter
-          (fun drop ->
-            List.iter
-              (fun add ->
-                if drop <> [] || add <> [] then begin
-                  let m = Move.Neighborhood { agent = u; drop; add } in
-                  let g' = Move.apply g m in
-                  if
-                    gen_improves ~f ~alpha ~before:g ~after:g' u
-                    && List.for_all
-                         (fun w -> gen_improves ~f ~alpha ~before:g ~after:g' w)
-                         add
-                  then raise (Found m)
-                end)
-              (subsets strangers))
-          (subsets neighbors))
-      (vertices g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-(* Outcome enumeration, exactly as [check_kbse]: for every outcome graph,
-   a coalition of improving vertices that makes the edit legal. *)
-let check_gen_kbse ~f ~k ~alpha g =
-  let size = Graph.n g in
-  if size > 6 then
-    invalid_arg "Oracle.check_generalized: the k-BSE oracle enumerates outcomes, n <= 6 only";
-  if k < 1 then invalid_arg "Oracle.check_generalized: need k >= 1";
-  let slots = size * (size - 1) / 2 in
-  let pairs = Array.make (max slots 1) (0, 0) in
-  let idx = ref 0 in
-  for u = 0 to size - 1 do
-    for v = u + 1 to size - 1 do
-      pairs.(!idx) <- (u, v);
-      incr idx
-    done
-  done;
-  let base_mask = ref 0 in
-  for b = 0 to slots - 1 do
-    let u, v = pairs.(b) in
-    if Graph.has_edge g u v then base_mask := !base_mask lor (1 lsl b)
-  done;
-  let before = Array.init size (fun u -> gen_cost ~f ~alpha g u) in
-  let mem x xs = List.exists (Int.equal x) xs in
-  let exception Found of Move.t in
-  try
-    for mask = 0 to (1 lsl slots) - 1 do
-      if mask <> !base_mask then begin
-        let g' = ref (Graph.create size) in
-        for b = 0 to slots - 1 do
-          if mask land (1 lsl b) <> 0 then begin
-            let u, v = pairs.(b) in
-            g' := Graph.add_edge !g' u v
-          end
-        done;
-        let g' = !g' in
-        let added = ref [] and removed = ref [] in
-        for b = slots - 1 downto 0 do
-          let now = mask land (1 lsl b) <> 0 and was = !base_mask land (1 lsl b) <> 0 in
-          if now && not was then added := pairs.(b) :: !added
-          else if was && not now then removed := pairs.(b) :: !removed
-        done;
-        let happier =
-          List.filter
-            (fun w -> Cost_gen.strictly_less (gen_cost ~f ~alpha g' w) before.(w))
-            (vertices g)
-        in
-        List.iter
-          (fun members ->
-            if
-              members <> []
-              && List.length members <= k
-              && List.for_all (fun (u, v) -> mem u members && mem v members) !added
-              && List.for_all (fun (u, v) -> mem u members || mem v members) !removed
-            then
-              raise (Found (Move.Coalition { members; remove = !removed; add = !added })))
-          (subsets happier)
-      end
-    done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_bse ~f ~alpha g = check_gen_kbse ~f ~k:(max 1 (Graph.n g)) ~alpha g
-
-(* The generalized dispatch: a bilateral base concept read under
-   distance-cost function [f].  Like [check], the oracle never
-   truncates. *)
+(* A bilateral base concept read under distance-cost function [f]: the
+   same oracle, priced by the generalized metric. *)
 let check_generalized ?budget ~f ~alpha base g =
-  ignore budget;
-  match base with
-  | Concept.RE -> check_gen_re ~f ~alpha g
-  | Concept.BAE -> check_gen_bae ~f ~alpha g
-  | Concept.PS -> check_gen_ps ~f ~alpha g
-  | Concept.BSwE -> check_gen_bswe ~f ~alpha g
-  | Concept.BGE -> check_gen_bge ~f ~alpha g
-  | Concept.BNE -> check_gen_bne ~f ~alpha g
-  | Concept.KBSE k -> check_gen_kbse ~f ~k ~alpha g
-  | Concept.BSE -> check_gen_bse ~f ~alpha g
+  let module O = Make (Cost_gen.Metric (struct
+    let f = f
+  end)) in
+  O.check ?budget ~alpha base g
 
 (* ------------------------------------------------------------------ *)
 (* Unilateral NCG oracles                                              *)

@@ -2,17 +2,28 @@
 
     Every checker here is a direct transcription of the deviation
     definitions from Section 1.1 of the paper — persistent {!Graph}
-    operations and {!Bncg_game.Cost.agent_cost} only, no Bitgraph, no
-    memoisation, no pruning.  They are intentionally slow and
-    intentionally boring: the fuzz harness ({!Fuzz}) compares their
-    verdicts against the optimised checkers behind {!Concept.check} on
-    thousands of random instances, so any cleverness that sneaks in
-    here would defeat the purpose. *)
+    operations and a metric's scratch-BFS pricing
+    ({!Metric_sig.METRIC.of_graph}) only, no Bitgraph, no memoisation,
+    no pruning.  They are intentionally slow and intentionally boring:
+    the fuzz harness ({!Fuzz}) compares their verdicts against the
+    optimised checkers behind {!Concept.check} on thousands of random
+    instances, so any cleverness that sneaks in here would defeat the
+    purpose. *)
+
+(** The reference oracle for the bilateral deviation vocabulary under
+    any cost kernel.  It reads the metric only through [M.of_graph] and
+    [M.strictly_less] — never its prune hooks — so it stays
+    definition-literal whatever metric it is given. *)
+module Make (M : Metric_sig.METRIC) : sig
+  val check : ?budget:int -> alpha:float -> Concept.t -> Graph.t -> Verdict.t
+  (** See {!check} below; same contract, priced by [M]. *)
+end
 
 val check : ?budget:int -> alpha:float -> Concept.t -> Graph.t -> Verdict.t
 (** [check ~alpha concept g] is the oracle verdict for [g]: [Stable] or
     [Unstable m] with an improving deviation [m] (valid for
     [Move.apply], and genuinely improving per [Move.is_improving]).
+    It is [Make (Cost.Metric)].
     The oracle enumerates exhaustively and never returns [Exhausted];
     [budget] is accepted for signature compatibility and ignored.
     @raise Invalid_argument for coalition concepts ([KBSE _], [BSE])
@@ -27,11 +38,11 @@ val max_n : Concept.t -> int
 
 (** {1 Generalized BNCG oracles}
 
-    Naive checkers for the generalized game (arXiv 2510.00239): the
-    bilateral deviation vocabulary priced through an arbitrary
-    distance-cost function via {!Bncg_game.Cost_gen.agent_cost}.  Same
-    discipline as {!check} — scratch BFS per evaluation, no caching,
-    no pruning. *)
+    The generalized game (arXiv 2510.00239) keeps the bilateral
+    deviation vocabulary and changes only how an agent prices
+    distances, so its oracle is {!Make} applied to
+    {!Cost_gen.Metric} — the same quantifications, priced by
+    scratch BFS per evaluation through [Cost_gen.agent_cost]. *)
 
 val check_generalized :
   ?budget:int ->
@@ -40,11 +51,9 @@ val check_generalized :
   Concept.t ->
   Graph.t ->
   Verdict.t
-(** [check_generalized ~f ~alpha base g] is the oracle verdict for the
-    generalized game under distance-cost function [f], read at the
-    bilateral base concept [base] (the generalized game reuses the
-    bilateral deviation structure; only the improvement order changes
-    with [f]).  Never returns [Exhausted]; [budget] is ignored.
+(** [check_generalized ~f ~alpha base g] is [Make (Cost_gen.Metric (F))]
+    with [F.f = f], read at the bilateral base concept [base].  Never
+    returns [Exhausted]; [budget] is ignored.
     @raise Invalid_argument for coalition concepts when [Graph.n g > 6],
     as in {!check}. *)
 

@@ -17,7 +17,7 @@ val check : alpha:float -> Graph.t -> Verdict.t
 
 val check_oracle : alpha:float -> Graph.t -> Dist_oracle.t -> Verdict.t
 (** [check_oracle ~alpha g o] is [check] evaluated over [o], which must
-    be an oracle for [g]; [o] is returned in its original state.  Lets
+    be an oracle for [g]; [o] comes back representing [g].  Lets
     callers (e.g. {!Pairwise}) share one oracle's row cache across
     several checkers.  Bit-identical to [check]. *)
 

@@ -1,34 +1,11 @@
 let default_budget = 2_000_000
 
 exception Found of Move.t
-exception Out_of_budget
+exception Out_of_budget = Subsets.Out_of_budget
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers (metric-independent combinatorics)                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Enumerate subsets of [items] with size in [1 .. max_size] (or from 0
-   when [allow_empty]), smallest sizes first (improving coalition moves
-   are usually small, so a budgeted sweep should try them first),
-   charging the budget per emitted subset. *)
-let iter_subsets ?(allow_empty = false) items ~max_size ~budget f =
-  let arr = Array.of_list items in
-  let k = Array.length arr in
-  let emit acc =
-    decr budget;
-    if !budget < 0 then raise Out_of_budget;
-    f (List.rev acc)
-  in
-  let rec choose size start acc =
-    if size = 0 then emit acc
-    else
-      for i = start to k - size do
-        choose (size - 1) (i + 1) (arr.(i) :: acc)
-      done
-  in
-  for size = (if allow_empty then 0 else 1) to min max_size k do
-    choose size 0 []
-  done
 
 (* Enumerate the size-[k] combinations of the elements of [pool]. *)
 let iter_combinations pool k f =
@@ -279,13 +256,12 @@ module Make (M : Metric_sig.METRIC) = struct
           let incident = edges_incident_to g members in
           (* On a tree, deletions must lie on a cycle created by the
              additions, i.e. on the tree path between added endpoints. *)
-          iter_subsets non_edges_inside ~max_size:(List.length non_edges_inside)
-            ~budget (fun add ->
+          Subsets.iter_subsets ~min_size:1 non_edges_inside ~budget (fun add ->
               let removable =
                 let on_paths = tree_path_edges rooted add in
                 List.filter (fun e -> List.mem e on_paths) incident
               in
-              iter_subsets ~allow_empty:true removable ~max_size:(List.length add)
+              Subsets.iter_subsets removable ~max_size:(List.length add)
                 ~budget (fun remove ->
                   if all_members_active members ~remove ~add then
                     if
@@ -325,15 +301,13 @@ module Make (M : Metric_sig.METRIC) = struct
           members
       in
       let incident = edges_incident_to g members in
-      iter_subsets ~allow_empty:true non_edges_inside
-        ~max_size:(List.length non_edges_inside) ~budget (fun add ->
+      Subsets.iter_subsets non_edges_inside ~budget (fun add ->
           (* Deleting a bridge of G + A disconnects the graph and can never
              improve a member; restrict deletions to non-bridges. *)
           let g_plus = Graph.add_edges g add in
           let bridge_set = Paths.bridges g_plus in
           let removable = List.filter (fun e -> not (List.mem e bridge_set)) incident in
-          iter_subsets ~allow_empty:true removable ~max_size:(List.length removable)
-            ~budget (fun remove ->
+          Subsets.iter_subsets removable ~budget (fun remove ->
               if (add <> [] || remove <> []) && all_members_active members ~remove ~add
               then
                 if move_improves_all_oracle ~alpha oracle before_cost members ~remove ~add

@@ -19,44 +19,28 @@
    connectivity) and the exact cost comparison decides.
 
    For n <= Bitgraph.max_n the BFS rows and the surviving candidates'
-   exact evaluations run on one mutable bitgraph (apply the swap, two
-   word-BFS sums, undo).  Above that size a {!Dist_oracle} holds the rows
-   and evaluates each candidate incrementally — remove uv, add uw, two
-   cached totals, undo — instead of rebuilding the graph and re-running
-   BFS.  Baseline costs and BFS rows are always taken while the mutable
-   structure is in its original state.
+   exact evaluations run on one mutable bitgraph (apply the swap, price
+   both agents on the word-BFS kernel, undo).  Above that size a
+   {!Dist_oracle} holds the rows and evaluates each candidate
+   incrementally — remove uv, add uw, two cached prices, undo — instead
+   of rebuilding the graph and re-running BFS.  Baseline costs and BFS
+   rows are always taken while the mutable structure is in its original
+   state.
 
    All three prunes are threshold tests "can this distance gain pay for
    one edge", which is the metric's [gain_improves] judgment — its
    required monotonicity in the gain is exactly what makes bounding the
-   gain a sound prune. *)
+   gain a sound prune.  A metric that answers [true] always (the
+   generalized cost) disables them, and every swap is priced exactly. *)
 
 module Make (M : Metric_sig.METRIC) = struct
-  let check ~alpha g =
+  (* The search over one mutable distance structure: [row] reads a BFS row
+     of the intact graph, [price] an agent's cost on the current graph,
+     [add] / [remove] flip one edge. *)
+  let search ~alpha g ~row ~price ~add ~remove =
     let size = Graph.n g in
     let exception Found of Move.t in
-    let bg = if size <= Bitgraph.max_n then Some (Bitgraph.of_graph g) else None in
-    let oracle = match bg with Some _ -> None | None -> Some (Dist_oracle.create g) in
-    let bits_rows =
-      match bg with
-      | Some b -> Array.init size (fun u -> lazy (Bitgraph.bfs b u))
-      | None -> [||]
-    in
-    (* Oracle rows are borrowed live buffers, so the generic path re-asks
-       the oracle on every use (a cached row costs an array read) instead of
-       memoising the pointer across evaluations that flip edges. *)
-    let row u =
-      match oracle with
-      | Some o -> Dist_oracle.row o u
-      | None -> Lazy.force bits_rows.(u)
-    in
-    let baseline u =
-      match bg with
-      | Some b ->
-          M.of_parts ~alpha ~degree:(Bitgraph.degree b u) ~total:(Bitgraph.total_dist b u)
-      | None -> M.of_oracle ~alpha (Option.get oracle) u
-    in
-    let before = Array.init size (fun u -> lazy (baseline u)) in
+    let before = Array.init size (fun u -> lazy (price u)) in
     let add_gain_bound du dw =
       let gain = ref 0 in
       for x = 0 to size - 1 do
@@ -75,48 +59,27 @@ module Make (M : Metric_sig.METRIC) = struct
        compute. *)
     let swap_improves_both u v w =
       let bu = Lazy.force before.(u) and bw = Lazy.force before.(w) in
-      match (bg, oracle) with
-      | Some b, _ ->
-          Bitgraph.remove_edge b u v;
-          Bitgraph.add_edge b u w;
-          let au =
-            M.of_parts ~alpha ~degree:(Bitgraph.degree b u) ~total:(Bitgraph.total_dist b u)
-          in
-          let ok =
-            M.strictly_less au bu
-            &&
-            let aw =
-              M.of_parts ~alpha ~degree:(Bitgraph.degree b w)
-                ~total:(Bitgraph.total_dist b w)
-            in
-            M.strictly_less aw bw
-          in
-          Bitgraph.remove_edge b u w;
-          Bitgraph.add_edge b u v;
-          ok
-      | None, Some o ->
-          Dist_oracle.remove_edge o u v;
-          Dist_oracle.add_edge o u w;
-          let ok =
-            M.strictly_less (M.of_oracle ~alpha o u) bu
-            && M.strictly_less (M.of_oracle ~alpha o w) bw
-          in
-          Dist_oracle.remove_edge o u w;
-          Dist_oracle.add_edge o u v;
-          ok
-      | None, None -> assert false
+      remove u v;
+      add u w;
+      let ok = M.strictly_less (price u) bu && M.strictly_less (price w) bw in
+      remove u w;
+      add u v;
+      ok
     in
+    (* [gain_improves] is monotone, so a metric that accepts a zero gain
+       never prunes: skip the bounds and their BFS rows altogether. *)
+    let prunes = not (M.gain_improves ~alpha 0) in
     try
       for u = 0 to size - 1 do
         if Graph.degree g u > 0 then begin
-          let du = row u in
+          let du = if prunes then row u else [||] in
           (* Swap partners that could conceivably gain more than α —
              independent of which edge u drops, so computed once per u. *)
           let partners = ref [] in
           for w = size - 1 downto 0 do
             if w <> u && not (Graph.has_edge g u w) then begin
               let eligible =
-                if du.(w) < 0 then true
+                if (not prunes) || du.(w) < 0 then true
                 else if not (M.gain_improves ~alpha ((du.(w) - 1) * (size - 1))) then false
                 else if
                   connected
@@ -149,6 +112,22 @@ module Make (M : Metric_sig.METRIC) = struct
       done;
       Verdict.Stable
     with Found m -> Verdict.Unstable m
+
+  (* Oracle rows are borrowed live buffers, so the oracle path re-asks the
+     oracle on every use (a cached row costs an array read) instead of
+     memoising the pointer across evaluations that flip edges. *)
+  let check ~alpha g =
+    if Graph.n g <= Bitgraph.max_n then
+      let bg = Bitgraph.of_graph g in
+      let rows = Array.init (Graph.n g) (fun u -> lazy (Bitgraph.bfs bg u)) in
+      search ~alpha g
+        ~row:(fun u -> Lazy.force rows.(u))
+        ~price:(M.of_bits ~alpha bg) ~add:(Bitgraph.add_edge bg)
+        ~remove:(Bitgraph.remove_edge bg)
+    else
+      let o = Dist_oracle.create g in
+      search ~alpha g ~row:(Dist_oracle.row o) ~price:(M.of_oracle ~alpha o)
+        ~add:(Dist_oracle.add_edge o) ~remove:(Dist_oracle.remove_edge o)
 
   let is_stable ~alpha g = Verdict.is_stable (check ~alpha g)
 end

@@ -111,3 +111,27 @@ let rho ~f ~alpha g =
       if opt > 0. then social_money s /. opt
       else if social_money s > 0. then infinity
       else 1.
+
+(* The generalized cost as a checker kernel.  Only the pricing and the
+   order are sharp; the prune hooks answer permissively, which the
+   METRIC laws allow: [sum f(d)] is not a function of the distance sum,
+   so no distance-sum threshold, net-edge cap or cost floor of the
+   linear theory carries over. *)
+module Metric (F : sig
+  val f : Dist_cost.t
+end) =
+struct
+  type nonrec agent = agent
+
+  let f = F.f
+
+  let of_bits ~alpha bg u =
+    agent_of_row ~f ~alpha ~degree:(Bitgraph.degree bg u) ~self:u (Bitgraph.bfs bg u)
+
+  let of_oracle = agent_cost_oracle ~f
+  let of_graph = agent_cost ~f
+  let strictly_less = strictly_less
+  let gain_improves ~alpha:_ _ = true
+  let net_edge_cap ~alpha:_ ~size ~dist_sum:_ = size
+  let could_join_coalition ~alpha:_ ~size:_ _ = true
+end

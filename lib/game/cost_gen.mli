@@ -10,14 +10,11 @@
     function here agrees with its {!Cost} counterpart (same far/
     unreachable count, same money up to float summation order).
 
-    This module is the METRIC of the generalized game in the sense of
-    {!Game_sig}: cost assembly from cached distance rows, the strict
-    improvement order, and the social optimum behind [rho].  It is
-    deliberately a family of plain [~f]-parameterized functions rather
-    than a {!Metric_sig.METRIC} functor instance: that signature's
-    [of_parts] consumes only a distance {e sum}, which cannot express
-    [sum f(d)], and its [gain_improves] contract is tied to the linear
-    cost's pruning theory. *)
+    Every pricing entry point reads a full distance row and sums
+    [f] over it ({!agent_of_row}).  {!Metric} packages that pricing as
+    a {!Metric_sig.METRIC}, so the generalized game runs the same
+    single-edge checkers and the same reference oracle as the
+    bilateral game, only with a different metric. *)
 
 type agent = { far : int; buy : float; fdist : int }
 (** [far] pairs the function cannot price (lexicographically first),
@@ -62,3 +59,15 @@ val opt_cost : f:Dist_cost.t -> alpha:float -> int -> social
 val rho : f:Dist_cost.t -> alpha:float -> Graph.t -> float
 (** Social cost over {!opt_cost}; [infinity] when any pair is far
     (disconnected, or beyond a cutoff radius); [1.] for [n <= 1]. *)
+
+(** The generalized cost under [F.f] as a checker kernel.  [of_bits]
+    reads a {!Bitgraph.bfs} row, [of_oracle] a cached {!Dist_oracle}
+    row and [of_graph] a scratch {!Paths.bfs} row, all through
+    {!agent_of_row}.  The prune hooks are the permissive ones the
+    {!Game_sig} laws allow — [gain_improves] is always [true],
+    [net_edge_cap] is [size] and [could_join_coalition] is always
+    [true] — because the linear cost's pruning theory does not
+    transfer to arbitrary [f]. *)
+module Metric (F : sig
+  val f : Dist_cost.t
+end) : Metric_sig.METRIC with type agent = agent

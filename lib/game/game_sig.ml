@@ -2,12 +2,15 @@
 
     Two module types:
 
-    - {!METRIC} is the per-agent cost kernel the bilateral checkers are
-      functorized over.  It packages exactly what the checker algorithms
-      consume: cost assembly from cached distance data (the Bitgraph and
-      {!Dist_oracle} fast paths), the strict-improvement order, and the
-      pruning theory (gain thresholds, net-edge caps, coalition
-      eligibility) whose soundness conditions are spelled out below.
+    - {!METRIC} is the per-agent cost kernel the checkers are
+      functorized over; the bilateral and the generalized game
+      instantiate the same single-edge checkers with different
+      metrics.  It packages exactly what the checker algorithms
+      consume: cost assembly from the graph's distance structures (the
+      Bitgraph and {!Dist_oracle} fast paths), the strict-improvement
+      order, and the pruning theory (gain thresholds, net-edge caps,
+      coalition eligibility) whose soundness conditions are spelled
+      out below.
 
     - {!GAME} is a whole playable game: a state (a graph, or a graph
       with edge ownership), a concept vocabulary, an optimised checker,
@@ -22,14 +25,19 @@
     - [strictly_less] is a strict partial order consistent with "this
       agent is better off": flipping a move on an oracle and comparing
       with [of_oracle] must rank exactly the states the game ranks.
-    - [of_parts], [of_oracle] and [of_graph] agree whenever they price
-      the same agent in the same graph.
+    - [of_bits], [of_oracle] and [of_graph] agree whenever they price
+      the same agent in the same graph (a {!Bitgraph}, a
+      {!Dist_oracle} and a {!Graph} of the same edge set), connected
+      or not.
     - [gain_improves ~alpha gain] is monotone in [gain] and answers
-      "does a distance-sum decrease of [gain] outweigh the price of one
-      extra edge?".  The checkers use its negation to prune, so a
+      "can a distance-sum decrease of [gain] outweigh the price of one
+      extra edge?".  The checkers use it only to prune — every
+      surviving move is priced exactly before it is reported — so a
       metric answering [false] for a gain that the exact evaluation
       would accept loses witnesses (unsound); answering [true] too
-      often only costs time.
+      often only costs time.  A metric whose cost is not a function of
+      the distance sum (e.g. [sum f(d)] for convex [f]) answers [true]
+      always.
     - [net_edge_cap] upper-bounds how many net extra edges an agent can
       ever profitably buy in one move; [could_join_coalition] must be
       [true] for every agent that some coalition move strictly

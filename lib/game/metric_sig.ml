@@ -1,7 +1,12 @@
-(** The per-agent cost kernel the bilateral checkers are functorized
-    over.  Split from {!Game_sig} (which re-exports it) so that {!Cost}
-    can implement it without a module cycle: [Cost] sits below the move
-    vocabulary, while [Game_sig.GAME] speaks {!Move} and {!Verdict}.
+(** The per-agent cost kernel the single-edge and coalition checkers
+    are functorized over.  Split from {!Game_sig} (which re-exports it)
+    so that {!Cost} and {!Cost_gen} can implement it without a module
+    cycle: the cost models sit below the move vocabulary, while
+    [Game_sig.GAME] speaks {!Move} and {!Verdict}.
+
+    Two instances exist: {!Cost.Metric} (the paper's linear cost, with
+    its sharp pruning theory) and {!Cost_gen.Metric} (any
+    {!Dist_cost} function, with permissive prune hooks).
 
     See {!Game_sig} for the laws a metric must satisfy; in short,
     [strictly_less] must rank agents exactly as the game does, the
@@ -16,9 +21,11 @@ module type METRIC = sig
   (** The cost of one agent; ordered, never inspected structurally by
       the checkers. *)
 
-  val of_parts : alpha:float -> degree:int -> total:Paths.total -> agent
-  (** Price an agent from a degree and a distance total (the Bitgraph
-      fast path). *)
+  val of_bits : alpha:float -> Bitgraph.t -> int -> agent
+  (** Price an agent on the bitgraph's current graph (the bit-parallel
+      fast path).  Each metric reads the bitgraph its own way: the
+      linear cost needs only a degree and a distance total, a general
+      distance-cost function a full BFS row. *)
 
   val of_oracle : alpha:float -> Dist_oracle.t -> int -> agent
   (** Price an agent on the oracle's current graph — O(1) on a cached
@@ -31,9 +38,10 @@ module type METRIC = sig
   (** [strictly_less a b]: is [a] a strict improvement over [b]? *)
 
   val gain_improves : alpha:float -> int -> bool
-  (** [gain_improves ~alpha gain]: does decreasing an agent's distance
+  (** [gain_improves ~alpha gain]: can decreasing an agent's distance
       sum by [gain] (within her component) strictly outweigh paying for
-      one extra edge?  Must be monotone in [gain]. *)
+      one extra edge?  Must be monotone in [gain].  A prune only: the
+      checkers price every move that passes it exactly. *)
 
   val net_edge_cap : alpha:float -> size:int -> dist_sum:int -> int
   (** Sound upper bound on the net number of extra edges an agent with

@@ -146,39 +146,26 @@ let slot_endpoints n =
   done;
   (us, vs)
 
-let iter_connected_bitgraphs_range n ~lo ~hi f =
-  if n > 7 then invalid_arg "Enumerate.iter_connected_bitgraphs: size too large";
-  if n <= 0 then begin
-    if n = 0 && lo <= 0 && hi > 0 then f (Bitgraph.create 0)
-  end
-  else begin
-    let slots = edge_slots n in
-    let lo = max 0 lo and hi = min hi (1 lsl slots) in
-    if lo < hi then begin
-      let us, vs = slot_endpoints n in
-      (* build the first mask directly, then walk by one-bit deltas *)
-      let bg = Bitgraph.create n in
-      for j = 0 to slots - 1 do
-        if (lo lsr j) land 1 = 1 then Bitgraph.add_edge bg us.(j) vs.(j)
-      done;
-      if Bitgraph.is_connected bg then f bg;
-      for mask = lo + 1 to hi - 1 do
-        let b = Bitgraph.lowest_bit mask in
-        for j = 0 to b - 1 do
-          Bitgraph.remove_edge bg us.(j) vs.(j)
-        done;
-        Bitgraph.add_edge bg us.(b) vs.(b);
-        if Bitgraph.is_connected bg then f bg
-      done
-    end
-  end
-
 let iter_connected_bitgraphs n f =
   if n > 7 then invalid_arg "Enumerate.iter_connected_bitgraphs: size too large";
   if n <= 0 then begin
     if n = 0 then f (Bitgraph.create 0)
   end
-  else iter_connected_bitgraphs_range n ~lo:0 ~hi:(1 lsl edge_slots n) f
+  else begin
+    let slots = edge_slots n in
+    let us, vs = slot_endpoints n in
+    (* mask 0 is the empty graph; walk the rest by one-bit deltas *)
+    let bg = Bitgraph.create n in
+    if Bitgraph.is_connected bg then f bg;
+    for mask = 1 to (1 lsl slots) - 1 do
+      let b = Bitgraph.lowest_bit mask in
+      for j = 0 to b - 1 do
+        Bitgraph.remove_edge bg us.(j) vs.(j)
+      done;
+      Bitgraph.add_edge bg us.(b) vs.(b);
+      if Bitgraph.is_connected bg then f bg
+    done
+  end
 
 let iter_connected_graphs n f =
   if n > 7 then invalid_arg "Enumerate.iter_connected_graphs: size too large";
@@ -187,14 +174,7 @@ let iter_connected_graphs n f =
 (* Dedup buckets are keyed by the allocation-free bitgraph fingerprint
    (the string [Bitgraph.invariant] was ~75% of the enumeration runtime)
    and hold bitgraph snapshots, so the exact isomorphism test runs on
-   words and conversion back to Graph.t happens only once per class.
-
-   The accumulator is exposed so independent mask ranges can be deduped
-   in parallel and merged: per-range accumulators keep first occurrences
-   within their range, and merging left to right in mask order re-checks
-   each later representative against the earlier ones — the survivor of
-   every class is therefore its globally first representative, in the
-   global first-occurrence order, exactly as in a sequential run. *)
+   words and conversion back to Graph.t happens only once per class. *)
 type iso_acc = {
   (* class representatives with their degree arrays, keyed by fingerprint *)
   buckets : (int, (Bitgraph.t * int array) list) Hashtbl.t;
@@ -287,17 +267,8 @@ let iso_acc_add acc bg =
       if not (List.exists (fun (h, hdeg) -> iso_match acc bg deg h hdeg) bucket)
       then insert bucket
 
-let iso_acc_merge a b =
-  List.iter (iso_acc_add a) (List.rev b.reps);
-  a
-
 (* [reps] is reversed, so [rev_map] restores first-occurrence order. *)
 let iso_acc_graphs acc = List.rev_map Bitgraph.to_graph acc.reps
-
-let connected_iso_range n ~lo ~hi =
-  let acc = iso_acc_create n in
-  iter_connected_bitgraphs_range n ~lo ~hi (iso_acc_add acc);
-  acc
 
 (* ------------------------------------------------------------------ *)
 (* Orderly (canonical-augmentation) generation of connected graphs     *)

@@ -109,25 +109,12 @@ val iter_orderly_connected : ?shard:int * int -> int -> (Bitgraph.t -> unit) -> 
 val connected_graphs_orderly : ?shard:int * int -> int -> Graph.t list
 (** {!iter_orderly_connected}, materialised and converted. *)
 
-(** {2 Range decomposition}
+(** {2 Isomorphism-class accumulator}
 
-    The edge-mask walk splits into contiguous ranges that can be deduped
-    independently and merged in mask order; {!iso_acc_merge} re-checks
-    each later representative against the earlier accumulator, so the
-    merged result is bit-identical (same representatives, same order) to
-    the sequential {!connected_graphs_iso}.  This is what the parallel
-    sweep enumeration is built on. *)
-
-val edge_slots : int -> int
-(** [n * (n - 1) / 2]: the number of bits in an edge mask, so masks range
-    over [0 .. 2^(edge_slots n) - 1]. *)
-
-val iter_connected_bitgraphs_range :
-  int -> lo:int -> hi:int -> (Bitgraph.t -> unit) -> unit
-(** [iter_connected_bitgraphs_range n ~lo ~hi f] is the [lo <= mask < hi]
-    slice of {!iter_connected_bitgraphs}, same order and same reuse
-    discipline ([f] must not retain its argument).
-    @raise Invalid_argument if [n > 7]. *)
+    Dedups a stream of labelled graphs into one representative per
+    class, in first-occurrence order — e.g. the edge-mask walk of
+    {!iter_connected_bitgraphs}, as a baseline for the orderly
+    generator. *)
 
 type iso_acc
 (** Mutable isomorphism-class accumulator: fingerprint-keyed buckets of
@@ -140,13 +127,5 @@ val iso_acc_add : iso_acc -> Bitgraph.t -> unit
 (** Record one candidate; snapshots it iff no isomorphic representative
     is present yet. *)
 
-val iso_acc_merge : iso_acc -> iso_acc -> iso_acc
-(** [iso_acc_merge a b] folds [b]'s representatives (in order) into [a]
-    and returns [a].  With [a] covering an earlier mask range than [b],
-    the result is exactly the accumulator of the concatenated range. *)
-
 val iso_acc_graphs : iso_acc -> Graph.t list
 (** Representatives in first-occurrence order, converted once. *)
-
-val connected_iso_range : int -> lo:int -> hi:int -> iso_acc
-(** [connected_iso_range n ~lo ~hi] dedups one mask range from scratch. *)

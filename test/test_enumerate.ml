@@ -98,9 +98,9 @@ let suite =
         List.iter
           (fun n ->
             let legacy =
-              Enumerate.connected_iso_range n ~lo:0
-                ~hi:(1 lsl Enumerate.edge_slots n)
-              |> Enumerate.iso_acc_graphs
+              let acc = Enumerate.iso_acc_create n in
+              Enumerate.iter_connected_bitgraphs n (Enumerate.iso_acc_add acc);
+              Enumerate.iso_acc_graphs acc
             in
             let orderly = Enumerate.connected_graphs_orderly n in
             check_int (Printf.sprintf "n=%d count" n) (List.length legacy)

@@ -59,6 +59,44 @@ module Frozen_relabel = struct
   let relabel s _ = s
 end
 
+(* METRIC law: [of_bits], [of_oracle] and [of_graph] price every agent
+   identically, on the intact graph and across an edge flip (the flip /
+   price / unflip discipline every checker relies on). *)
+module Metric_laws (M : Metric_sig.METRIC) = struct
+  let agree ~what ~alpha g bg o =
+    for u = 0 to Graph.n g - 1 do
+      let want = M.of_graph ~alpha g u in
+      let label = Printf.sprintf "%s agent %d of %s" what u (Encode.to_graph6 g) in
+      check_true (label ^ ": of_bits") (M.of_bits ~alpha bg u = want);
+      check_true (label ^ ": of_oracle") (M.of_oracle ~alpha o u = want)
+    done
+
+  let run ~name ~seed =
+    for i = 0 to 99 do
+      let rng = Splitmix.derive seed [ i ] in
+      let n = 1 + Splitmix.int rng 14 in
+      let g =
+        if i mod 2 = 0 then Casegen.connected rng n ~p:0.2 else Casegen.gnp rng n ~p:0.15
+      in
+      let alpha = Casegen.alpha rng in
+      let bg = Bitgraph.of_graph g and o = Dist_oracle.create g in
+      agree ~what:name ~alpha g bg o;
+      if n >= 2 then begin
+        let u = Splitmix.int rng n in
+        let v = (u + 1 + Splitmix.int rng (n - 1)) mod n in
+        Bitgraph.flip_edge bg u v;
+        if Graph.has_edge g u v then begin
+          Dist_oracle.remove_edge o u v;
+          agree ~what:(name ^ " after a removal") ~alpha (Graph.remove_edge g u v) bg o
+        end
+        else begin
+          Dist_oracle.add_edge o u v;
+          agree ~what:(name ^ " after an addition") ~alpha (Graph.add_edge g u v) bg o
+        end
+      end
+    done
+end
+
 let suite =
   [
     tc "bilateral instance is lawful on 200 cases" (fun () ->
@@ -74,6 +112,17 @@ let suite =
            hold for arbitrary ownership too (it is part of the state). *)
         fail_on
           (Unilateral_laws.run ~cases:150 ~gen:Fuzz.unilateral_gen ~seed:103L ()));
+    tc "metric law: Cost.Metric prices agree on bits, oracle and graph" (fun () ->
+        let module L = Metric_laws (Cost.Metric) in
+        L.run ~name:"linear" ~seed:108L);
+    tc "metric law: Cost_gen.Metric prices agree for every Dist_cost.all" (fun () ->
+        List.iter
+          (fun f ->
+            let module L = Metric_laws (Cost_gen.Metric (struct
+              let f = f
+            end)) in
+            L.run ~name:(Dist_cost.name f) ~seed:109L)
+          Dist_cost.all);
     tc "generalized instance is lawful on 200 cases" (fun () ->
         fail_on (Generalized_laws.run ~gen:Casegen.graph ~seed:107L ()));
     tc "mutation: lying generalized checker violates the reference law" (fun () ->

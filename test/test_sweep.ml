@@ -187,6 +187,33 @@ let suite =
             | None -> Alcotest.fail "infinite-rho cert lost across reopen"
             | Some e -> check_true "rho is infinity" (e.Cert_store.rho = Float.infinity)))
     ;
+    tc "two stores on one directory write separate journals" (fun () ->
+        (* Regression: both stores picked journal-0000 at open time and
+           appended to the same file, where a line longer than the
+           channel buffer could interleave with the other store's
+           writes and be dropped on reload. *)
+        let dir = fresh_dir "two-writers" in
+        let record s i =
+          let canon_g6 = Encode.to_graph6 (Gen.path (i + 2)) in
+          let concept = Concept.name Concept.RE in
+          let key = Cert_store.cert_key ~concept ~alpha:1.0 ~budget:None ~canon_g6 () in
+          Cert_store.record s ~key ~canon_g6 ~concept ~alpha:1.0 ~budget:None
+            { Cert_store.verdict = Verdict.Stable; rho = 1.0 };
+          key
+        in
+        let a = Cert_store.open_store dir and b = Cert_store.open_store dir in
+        let keys =
+          List.concat_map (fun i -> [ record a (2 * i); record b ((2 * i) + 1) ]) [ 0; 1; 2 ]
+        in
+        Cert_store.close a;
+        Cert_store.close b;
+        check_int "one journal per store" 2 (List.length (journal_files dir));
+        with_store dir (fun s ->
+            check_int "every certificate reloads" 6 (Cert_store.cert_count s);
+            List.iter
+              (fun key -> check_true "found" (Cert_store.find s ~key <> None))
+              keys))
+    ;
     tc "sharded sweeps merge bit-identically to the unsharded run" (fun () ->
         let whole = Sweep.run spec in
         List.iter
